@@ -22,11 +22,12 @@ Implements the paper's client behaviour (§3.2, §4.3):
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from typing import Hashable, Optional
 
 import numpy as np
 
-from repro.core.selectors import RandomSelector, SiteSelector
+from repro.core.selectors import RandomSelector, SiteSelector, least_bad_site
 from repro.grid.builder import Grid
 from repro.grid.job import Job
 from repro.net.container import ContainerProfile, lognormal_for_mean
@@ -466,16 +467,11 @@ class GruberClient(Endpoint):
             self._pump()
 
     # -- dispatch ------------------------------------------------------------
-    def _choose_site(self, availabilities: dict, cpus: int) -> str:
+    def _choose_site(self, availabilities: Mapping, cpus: int) -> str:
         """Apply the site selector, with the least-bad tiebreak fallback."""
         site = self.selector.select(availabilities, cpus)
         if site is None:
-            # Nothing fits: take a least-bad site (most free, ties —
-            # e.g. a fully USLA-filtered view — broken randomly so the
-            # fallback stream spreads out).
-            best = max(availabilities.values())
-            top = [s for s, v in availabilities.items() if v >= best - 1e-9]
-            site = self.fallback.select_any(top)
+            site = least_bad_site(availabilities, self.fallback.rng)
         return site
 
     def _dispatch(self, job: Job, site: str, handled: bool,

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.engine import GruberEngine
 from repro.core.monitor import SiteMonitor
+from repro.core.selectors import LeastUsedSelector, least_bad_site
 from repro.core.sync import DisseminationStrategy, SyncProtocol
 from repro.grid.builder import Grid
 from repro.net.container import ContainerProfile, ServiceContainer
@@ -101,7 +102,6 @@ class DecisionPoint(Endpoint):
         self.on_restart: list = []
 
         # Server-side selector for the one-phase protocol variant.
-        from repro.core.selectors import LeastUsedSelector
         self._server_selector = LeastUsedSelector(rng, spread=0.85)
 
         self.register_handler("get_state", self._handle_get_state)
@@ -308,11 +308,7 @@ class DecisionPoint(Endpoint):
                                                     now=now)
         site = self._server_selector.select(availabilities, cpus)
         if site is None:
-            # Nothing fits: least-bad site, random among ties (a fully
-            # USLA-filtered view must not funnel everything to one site).
-            best = max(availabilities.values())
-            top = [s for s, v in availabilities.items() if v >= best - 1e-9]
-            site = top[int(self.rng.integers(0, len(top)))]
+            site = least_bad_site(availabilities, self.rng)
         self._decide_hist.observe(now - t_in)
         if dspan is not None:
             # Per-site staleness of the *chosen* site, pre-recording.

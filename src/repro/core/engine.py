@@ -13,6 +13,7 @@ share cap at a site sees no headroom there.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from typing import Optional
 
 from repro.core.state import DispatchRecord, GridStateView
@@ -79,8 +80,12 @@ class GruberEngine:
     # -- availability queries ------------------------------------------------
     def availabilities(self, vo: Optional[str] = None,
                        now: Optional[float] = None,
-                       group: Optional[str] = None) -> dict[str, float]:
+                       group: Optional[str] = None) -> Mapping[str, float]:
         """Estimated free CPUs per site, USLA-filtered when enabled.
+
+        Unfiltered answers are the view's shared, immutable
+        :class:`~repro.core.state.FreeSnapshot` (a plain dict from a
+        legacy view); USLA-filtered answers are a fresh dict.
 
         ``now`` lets the view age out records past the assumed job
         lifetime before answering; when omitted, the latest time the

@@ -14,9 +14,12 @@ determine the site to which the job should be dispatched").
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 from typing import Optional
 
 import numpy as np
+
+from repro.core.state import FreeSnapshot
 
 __all__ = [
     "SiteSelector",
@@ -24,24 +27,47 @@ __all__ = [
     "RoundRobinSelector",
     "LeastUsedSelector",
     "LeastRecentlyUsedSelector",
+    "least_bad_site",
     "make_selector",
 ]
 
 
 class SiteSelector(ABC):
-    """Maps an availability view to a site choice for one job."""
+    """Maps an availability view to a site choice for one job.
 
-    @abstractmethod
-    def select(self, availabilities: dict[str, float], cpus: int) -> Optional[str]:
+    Each policy scans the free-CPU column of a
+    :class:`~repro.core.state.FreeSnapshot`; any other ``{site: free}``
+    mapping is adapted at entry.  Ties resolve in column order.
+    """
+
+    def select(self, availabilities: Mapping[str, float],
+               cpus: int) -> Optional[str]:
         """Pick a site with >= ``cpus`` estimated free CPUs.
 
         Returns None when no site fits — callers fall back to the
-        least-bad option (most free CPUs) or to random placement.
+        least-bad option (:func:`least_bad_site`) or to random placement.
         """
+        return self._select(FreeSnapshot.of(availabilities), cpus)
+
+    @abstractmethod
+    def _select(self, snap: FreeSnapshot, cpus: int) -> Optional[str]:
+        """The policy over the snapshot's column."""
 
     @staticmethod
-    def _fitting(availabilities: dict[str, float], cpus: int) -> list[str]:
-        return [s for s, free in availabilities.items() if free >= cpus]
+    def _fitting(snap: FreeSnapshot, cpus: int) -> np.ndarray:
+        """Column positions of the sites with >= ``cpus`` free."""
+        return np.flatnonzero(snap.free >= cpus)
+
+
+def least_bad_site(availabilities: Mapping[str, float],
+                   rng: np.random.Generator) -> str:
+    """Nothing fits: a site with the most free CPUs, ties (within 1e-9,
+    e.g. a fully USLA-filtered view at 0) drawn uniformly from ``rng``
+    so the fallback stream spreads out."""
+    snap = FreeSnapshot.of(availabilities)
+    free = snap.free
+    top = np.flatnonzero(free >= free.max() - 1e-9)
+    return snap.names[top[int(rng.integers(0, len(top)))]]
 
 
 class RandomSelector(SiteSelector):
@@ -50,11 +76,11 @@ class RandomSelector(SiteSelector):
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
 
-    def select(self, availabilities: dict[str, float], cpus: int) -> Optional[str]:
-        fitting = self._fitting(availabilities, cpus)
-        if not fitting:
+    def _select(self, snap: FreeSnapshot, cpus: int) -> Optional[str]:
+        fitting = self._fitting(snap, cpus)
+        if not len(fitting):
             return None
-        return fitting[int(self.rng.integers(0, len(fitting)))]
+        return snap.names[fitting[int(self.rng.integers(0, len(fitting)))]]
 
     def select_any(self, sites: list[str]) -> str:
         """Unconditioned random pick (the USLA-blind timeout fallback)."""
@@ -69,8 +95,9 @@ class RoundRobinSelector(SiteSelector):
     def __init__(self) -> None:
         self._cursor = 0
 
-    def select(self, availabilities: dict[str, float], cpus: int) -> Optional[str]:
-        fitting = sorted(self._fitting(availabilities, cpus))
+    def _select(self, snap: FreeSnapshot, cpus: int) -> Optional[str]:
+        names = snap.names
+        fitting = sorted(names[i] for i in self._fitting(snap, cpus))
         if not fitting:
             return None
         choice = fitting[self._cursor % len(fitting)]
@@ -95,15 +122,15 @@ class LeastUsedSelector(SiteSelector):
         self.rng = rng
         self.spread = spread
 
-    def select(self, availabilities: dict[str, float], cpus: int) -> Optional[str]:
-        fitting = self._fitting(availabilities, cpus)
-        if not fitting:
+    def _select(self, snap: FreeSnapshot, cpus: int) -> Optional[str]:
+        fitting = self._fitting(snap, cpus)
+        if not len(fitting):
             return None
-        best = max(availabilities[s] for s in fitting)
-        top = [s for s in fitting if availabilities[s] >= self.spread * best]
+        free = snap.free[fitting]
+        top = fitting[free >= self.spread * free.max()]
         if len(top) == 1:
-            return top[0]
-        return top[int(self.rng.integers(0, len(top)))]
+            return snap.names[top[0]]
+        return snap.names[top[int(self.rng.integers(0, len(top)))]]
 
 
 class LeastRecentlyUsedSelector(SiteSelector):
@@ -113,8 +140,9 @@ class LeastRecentlyUsedSelector(SiteSelector):
         self._last_used: dict[str, int] = {}
         self._tick = 0
 
-    def select(self, availabilities: dict[str, float], cpus: int) -> Optional[str]:
-        fitting = self._fitting(availabilities, cpus)
+    def _select(self, snap: FreeSnapshot, cpus: int) -> Optional[str]:
+        names = snap.names
+        fitting = [names[i] for i in self._fitting(snap, cpus)]
         if not fitting:
             return None
         choice = min(fitting,

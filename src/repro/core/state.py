@@ -20,19 +20,114 @@ sweeps).  To avoid double counting, each site's estimate is a *base*
 (ground-truth busy CPUs at the last refresh) plus the live records
 newer than that refresh; records are deduplicated by ``(origin, seq)``
 so the flooding protocol can relay them along arbitrary overlays.
+
+Availability answers are :class:`FreeSnapshot` objects: an immutable
+``Mapping`` over the view's free-CPU column, built on the first read
+after a write and shared by every read until the next one.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-__all__ = ["DispatchRecord", "GridStateView"]
+import numpy as np
+
+__all__ = ["DispatchRecord", "FreeSnapshot", "GridStateView", "SiteOrder",
+           "site_order"]
 
 _NEG_INF = -float("inf")
+
+
+class SiteOrder:
+    """An immutable site-name order and its name → position index.
+
+    Views over the same site list share one instance (:func:`site_order`),
+    so a 3,000-site grid with ten decision points builds one index, not
+    ten.  The position index is built on first use: orders made for a
+    one-off answer (:meth:`FreeSnapshot.of`) rarely need it.
+    """
+
+    __slots__ = ("names", "_pos", "__weakref__")
+
+    def __init__(self, names: tuple):
+        self.names = names
+        self._pos: Optional[dict[str, int]] = None
+
+    @property
+    def pos(self) -> dict[str, int]:
+        pos = self._pos
+        if pos is None:
+            pos = self._pos = {s: i for i, s in enumerate(self.names)}
+        return pos
+
+
+_ORDERS: "weakref.WeakValueDictionary[tuple, SiteOrder]" = (
+    weakref.WeakValueDictionary())
+
+
+def site_order(names: tuple) -> SiteOrder:
+    """The shared :class:`SiteOrder` for ``names``.
+
+    An interning table: entries are immutable and keyed by their whole
+    content, so sharing one is never observable except as saved memory,
+    and the weak table drops it once no view or snapshot holds it.
+    """
+    order = _ORDERS.get(names)
+    if order is None:
+        order = _ORDERS[names] = SiteOrder(names)
+    return order
+
+
+class FreeSnapshot(Mapping):
+    """Estimated free CPUs per site: an immutable availability answer.
+
+    A read-only float64 column plus the :class:`SiteOrder` naming its
+    entries.  Iteration follows the column, and that order is the tie
+    order of every site selector.  A view hands out one snapshot per
+    write generation; holders may keep it across later writes, which
+    never touch it.
+    """
+
+    __slots__ = ("order", "free")
+
+    def __init__(self, order: SiteOrder, free: np.ndarray):
+        free.flags.writeable = False
+        self.order = order
+        self.free = free
+
+    @classmethod
+    def of(cls, availabilities: Mapping) -> "FreeSnapshot":
+        """Adapt any ``{site: free}`` mapping (identity for snapshots)."""
+        if isinstance(availabilities, FreeSnapshot):
+            return availabilities
+        return cls(SiteOrder(tuple(availabilities)),
+                   np.fromiter(availabilities.values(), np.float64,
+                               len(availabilities)))
+
+    @property
+    def names(self) -> tuple:
+        return self.order.names
+
+    def __getitem__(self, site: str) -> float:
+        return float(self.free[self.order.pos[site]])
+
+    def __iter__(self):
+        return iter(self.order.names)
+
+    def __len__(self) -> int:
+        return len(self.order.names)
+
+    def __contains__(self, site) -> bool:
+        return site in self.order.pos
+
+    def __repr__(self) -> str:
+        return f"FreeSnapshot({dict(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -74,9 +169,10 @@ class GridStateView:
         :meth:`expire` costs O(records expired) instead of O(sites), a
         learn-order ring so :meth:`pending_records` costs O(records
         learned since the cutoff) instead of O(all live records), and
-        an incrementally-maintained free map so availability queries
-        stop recomputing every site's estimate.  Result-preserving;
-        the switch exists for benchmark baselines and equivalence tests.
+        availability answers served from the free-CPU column as shared
+        :class:`FreeSnapshot` objects instead of recomputing every
+        site's estimate.  Result-preserving; the switch exists for
+        benchmark baselines and equivalence tests.
     """
 
     def __init__(self, site_capacities: dict[str, int],
@@ -138,21 +234,37 @@ class GridStateView:
         self._learn_log: deque[tuple[int, float, DispatchRecord]] = deque()
         self._learn_count = 0
         self._log_tail_time = _NEG_INF
-        # Estimated free CPUs per site, maintained on every mutation so
-        # free_map() is a dict copy instead of an all-sites recompute.
-        self._free_cache: dict[str, float] = {
-            s: float(c) for s, c in self.capacities.items()}
+        # Estimated free CPUs per site, one column entry per site in
+        # capacity order, maintained on every mutation.  Each write
+        # bumps _version; availability answers are snapshots of the
+        # column, cached per version as (version, snapshot).
+        self._order = site_order(tuple(self.capacities))
+        self._pos = self._order.pos
+        self._free = np.fromiter(self.capacities.values(), np.float64,
+                                 len(self.capacities))
+        self._version = 0
+        self._snap: tuple[int, Optional[FreeSnapshot]] = (-1, None)
+        # free_subset: per site tuple, its order and column positions
+        # (computed once) and its cached (version, snapshot).
+        self._subset_index: dict[tuple, tuple[SiteOrder, np.ndarray]] = {}
+        self._subset_snaps: dict[tuple, tuple[int, FreeSnapshot]] = {}
 
-    def _update_free(self, site: str) -> None:
-        """Re-derive one site's cached free estimate (same formula as
-        :meth:`estimated_busy`, so the cache is bit-identical)."""
+    def _free_of(self, site: str) -> float:
+        """One site's free estimate, ``cap − clamp(base + extra)`` (same
+        formula as :meth:`estimated_busy`, so the column is
+        bit-identical)."""
         cap = self.capacities[site]
         busy = self._base_busy[site] + self._extra_busy[site]
         if busy < 0.0:
             busy = 0.0
         elif busy > cap:
             busy = cap
-        self._free_cache[site] = cap - busy
+        return cap - busy
+
+    def _update_free(self, site: str) -> None:
+        """Re-derive one site's free-column entry."""
+        self._free[self._pos[site]] = self._free_of(site)
+        self._version += 1
 
     # -- internal removal ----------------------------------------------------
     def _drop(self, rec: DispatchRecord) -> None:
@@ -282,6 +394,28 @@ class GridStateView:
         effect (if the job is still running) is inside the ground-truth
         number now.
         """
+        self._absorb(site, busy_cpus, now)
+        self._update_free(site)
+
+    def refresh_all(self, busy_by_site: dict[str, float], now: float) -> None:
+        """:meth:`refresh_site` for each site, with one column write.
+
+        Unknown sites are rejected before any site is touched, so the
+        column never lags an adopted base.
+        """
+        pos = self._pos
+        for site in busy_by_site:
+            if site not in pos:
+                raise KeyError(f"refresh for unknown site {site!r}")
+        for site, busy in busy_by_site.items():
+            self._absorb(site, busy, now)
+        if busy_by_site:
+            self._free[[pos[s] for s in busy_by_site]] = [
+                self._free_of(s) for s in busy_by_site]
+            self._version += 1
+
+    def _absorb(self, site: str, busy_cpus: float, now: float) -> None:
+        """Adopt one site's ground truth, minus the column write."""
         if site not in self.capacities:
             raise KeyError(f"refresh for unknown site {site!r}")
         if now > self.latest_time:
@@ -294,12 +428,7 @@ class GridStateView:
         while heap and heap[0][0] <= now:
             _, _, rec = heapq.heappop(heap)
             self._drop(rec)
-        self._update_free(site)
         self._prune_log()
-
-    def refresh_all(self, busy_by_site: dict[str, float], now: float) -> None:
-        for site, busy in busy_by_site.items():
-            self.refresh_site(site, busy, now)
 
     def extend_capacities(self, site_capacities: dict[str, int]) -> None:
         """Add static knowledge of more sites (no usage yet).
@@ -308,8 +437,10 @@ class GridStateView:
         paper's "complete static knowledge about available resources"
         across the whole grid while its monitor only refreshes local
         sites; peer usage arrives as epoch-synced dispatch records.
-        Already-known sites are left untouched.
+        Already-known sites are left untouched; new ones are appended to
+        the column, so existing positions (and subset indexes) hold.
         """
+        added = []
         for site, cap in site_capacities.items():
             if site in self.capacities:
                 continue
@@ -318,7 +449,12 @@ class GridStateView:
             self._base_time[site] = -float("inf")
             self._records[site] = []
             self._extra_busy[site] = 0.0
-            self._free_cache[site] = float(cap)
+            added.append(float(cap))
+        if added:
+            self._order = site_order(tuple(self.capacities))
+            self._pos = self._order.pos
+            self._free = np.concatenate([self._free, added])
+            self._version += 1
 
     # -- queries ---------------------------------------------------------------
     def estimated_busy(self, site: str, now: Optional[float] = None) -> float:
@@ -342,27 +478,49 @@ class GridStateView:
             self.expire(now)
         return max(self._vo_busy.get((site, vo), 0.0), 0.0)
 
-    def free_map(self, now: Optional[float] = None) -> dict[str, float]:
-        """Estimated free CPUs for every site (the availability answer)."""
-        if now is not None:
-            self.expire(now)
-        if self.indexed:
-            return dict(self._free_cache)
-        return {s: self.estimated_free(s) for s in self.capacities}
+    def free_map(self, now: Optional[float] = None) -> Mapping[str, float]:
+        """Estimated free CPUs for every site (the availability answer).
 
-    def free_subset(self, sites, now: Optional[float] = None) -> dict[str, float]:
-        """Like :meth:`free_map`, restricted to ``sites`` — O(len(sites)).
-
-        The sharded runtime's availability answers stay neighborhood-
-        local even when the view carries grid-wide static knowledge.
-        Values are bit-identical to the :meth:`free_map` entries.
+        Indexed views return a :class:`FreeSnapshot` in capacity order:
+        the same object on every read until the next write, and never
+        changed by later writes.  Legacy views recompute a dict.
         """
         if now is not None:
             self.expire(now)
-        if self.indexed:
-            cache = self._free_cache
-            return {s: cache[s] for s in sites}
-        return {s: self.estimated_free(s) for s in sites}
+        if not self.indexed:
+            return {s: self.estimated_free(s) for s in self.capacities}
+        version, snap = self._snap
+        if version != self._version:
+            snap = FreeSnapshot(self._order, self._free.copy())
+            self._snap = (self._version, snap)
+        return snap
+
+    def free_subset(self, sites,
+                    now: Optional[float] = None) -> Mapping[str, float]:
+        """Like :meth:`free_map`, restricted to ``sites`` (in their order).
+
+        The sharded runtime's availability answers stay neighborhood-
+        local even when the view carries grid-wide static knowledge.
+        Values are bit-identical to the :meth:`free_map` entries; the
+        column positions of ``sites`` are computed once per site tuple.
+        """
+        if now is not None:
+            self.expire(now)
+        if not self.indexed:
+            return {s: self.estimated_free(s) for s in sites}
+        key = sites if isinstance(sites, tuple) else tuple(sites)
+        cached = self._subset_snaps.get(key)
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        index = self._subset_index.get(key)
+        if index is None:
+            pos = self._pos
+            index = self._subset_index[key] = (
+                site_order(key),
+                np.fromiter((pos[s] for s in key), np.intp, len(key)))
+        snap = FreeSnapshot(index[0], self._free[index[1]])
+        self._subset_snaps[key] = (self._version, snap)
+        return snap
 
     def pending_records(self, newer_than: float) -> list[DispatchRecord]:
         """Live records this node *learned* after the cutoff.
@@ -442,6 +600,18 @@ class GridStateView:
         must match their ground truth *exactly*.
         """
         problems: list[str] = []
+        col, pos = self._free, self._pos
+        column_ok = (self._order.names == tuple(self.capacities)
+                     and len(col) == len(pos))
+        if not column_ok:
+            problems.append(
+                f"free column order ({len(col)} entries) does not match "
+                f"the {len(self.capacities)} known sites")
+        version, snap = self._snap
+        if (column_ok and version == self._version
+                and not np.array_equal(snap.free, col)):
+            problems.append("current free snapshot differs from the column")
+        free = col.tolist()
         live_keys = set(self._live_rec)
         if live_keys != self._seen:
             problems.append(
@@ -473,12 +643,11 @@ class GridStateView:
             if not (0.0 <= base <= cap):
                 problems.append(
                     f"base_busy[{site}]={base} outside [0, {cap}]")
-            if self.indexed:
-                busy = min(max(base + self._extra_busy[site], 0.0), cap)
-                if self._free_cache[site] != cap - busy:
-                    problems.append(
-                        f"free_cache[{site}]={self._free_cache[site]} != "
-                        f"recomputed {cap - busy}")
+            busy = min(max(base + self._extra_busy[site], 0.0), cap)
+            if column_ok and free[pos[site]] != cap - busy:
+                problems.append(
+                    f"free column[{site}]={free[pos[site]]} != "
+                    f"recomputed {cap - busy}")
         if len(self._learn_log) < len(live_keys):
             problems.append(
                 f"learn ring holds {len(self._learn_log)} entries for "
