@@ -5,9 +5,7 @@ Runs two regression baselines and writes one JSON file each:
 
 * ``BENCH_kernel.json`` — the observability/kernel micro-benchmarks:
   events-per-second with tracing disabled and enabled per workload,
-  plus the enabled-overhead percentage and a sampled wall-clock
-  profile attributing CPU time to subsystem buckets (dispatch,
-  site-drain, sync, decide, control, ...).  ``pass_overhead_budget``
+  plus the enabled-overhead percentage.  ``pass_overhead_budget``
   asserts the enabled overhead stays under 10% and the disabled guards
   under 2%.
 * ``BENCH_faults.json`` — the chaos matrix (``bench_chaos_matrix``):
@@ -17,9 +15,9 @@ Runs two regression baselines and writes one JSON file each:
   leaks, non-zero brokered throughput everywhere, and a strict
   resilient-over-baseline gain on the recoverable scenarios.
 * ``BENCH_scale.json`` — the k x Grid3/OSG scale sweep
-  (``bench_scale``): optimized (fast paths + delta sync) vs pre-change
-  baseline per cell; ``pass_scale_floor`` asserts the optimized stack
-  is at least 2x faster at k=10.
+  (``bench_scale``): events/s, heap peak, RSS and sync KB per cell;
+  ``pass_heap_bound`` asserts the kernel heap stays O(live) under an
+  RPC storm.
 * ``BENCH_autoscale.json`` — the closed-loop autoscale bench
   (``bench_autoscale``): 10x-OSG and 100x diurnal runs starting from
   one decision point; ``pass_autoscale`` asserts convergence to the
@@ -66,31 +64,12 @@ QUICK_CHAOS_DURATION_S = 600.0
 QUICK_AUTOSCALE_DURATION_S = 1200.0
 
 
-def profile_subsystems(quick: bool) -> dict:
-    """One profiled smoke run -> wall-clock attribution by subsystem.
-
-    Samples the experiment thread's stack (``repro.obs.profiler``)
-    through a full telemetry-on smoke run and reports where the wall
-    clock went: dispatch, site-drain, sync, decide, control, check,
-    telemetry, net, workload.
-    """
-    from benchmarks.bench_obs_overhead import run_telemetry_experiment
-    from repro.obs.profiler import SubsystemProfiler
-
-    with SubsystemProfiler(interval_s=0.002) as prof:
-        run_telemetry_experiment(duration_s=600 if quick else 1800,
-                                 n_clients=8 if quick else 24,
-                                 tracing=True)
-    return prof.report()
-
-
 def run_kernel_bench(args) -> bool:
     """Kernel/tracing micro-bench -> BENCH_kernel.json; True on pass."""
     from benchmarks.bench_obs_overhead import measure_all
 
     t0 = time.time()
     results = measure_all(quick=args.quick, repeats=args.repeats)
-    profile = profile_subsystems(quick=args.quick)
     wall_s = time.time() - t0
 
     # The "callbacks" workload has no trace points: its enabled-vs-
@@ -115,7 +94,6 @@ def run_kernel_bench(args) -> bool:
             "enabled_budget_pct": ENABLED_BUDGET_PCT,
             "disabled_budget_pct": DISABLED_BUDGET_PCT,
         },
-        "profile": profile,
         "pass_overhead_budget": ok,
     }
 
@@ -127,10 +105,6 @@ def run_kernel_bench(args) -> bool:
         print(f"{name:>10}: disabled {r['disabled_per_s']:>12,.0f}/s   "
               f"enabled {r['enabled_per_s']:>12,.0f}/s   "
               f"overhead {r['overhead_pct']:+.1f}%")
-    top = ", ".join(f"{name} {b['pct']:.0f}%"
-                    for name, b in list(profile["buckets"].items())[:4])
-    print(f"subsystem profile ({profile['samples']} samples over "
-          f"{profile['wall_s']:.1f}s): {top}")
     verdict = "PASS" if ok else "FAIL"
     print(f"tracing overhead: worst enabled {worst:.1f}% "
           f"(budget {ENABLED_BUDGET_PCT:.0f}%), disabled guards "
@@ -193,7 +167,7 @@ def run_chaos_bench(args) -> bool:
 
 
 def run_scale_bench(args) -> bool:
-    """Scale sweep -> BENCH_scale.json; True when the floor holds."""
+    """Scale sweep -> BENCH_scale.json; True when the heap stays bounded."""
     from benchmarks.bench_scale import (
         CELL_DURATION_S,
         FULL_CELLS,
@@ -209,11 +183,11 @@ def run_scale_bench(args) -> bool:
     out = Path(args.scale_out) if args.scale_out else \
         Path(__file__).resolve().parent.parent / "BENCH_scale.json"
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    verdict = "PASS" if report["pass_scale_floor"] else "FAIL"
-    print(f"scale floor (k=10 >= {report['k10_speedup_floor']:.0f}x): "
-          f"min {report['k10_speedup_min']} -> {verdict}")
+    verdict = "PASS" if report["pass_heap_bound"] else "FAIL"
+    print(f"scale heap bound (peak {report['heap_bound']['heap_peak']}): "
+          f"{verdict}")
     print(f"wrote {out}")
-    return report["pass_scale_floor"]
+    return report["pass_heap_bound"]
 
 
 def run_autoscale_bench(args) -> bool:

@@ -77,8 +77,7 @@ class SyncProtocol:
         # Delta mode: per-peer learn-sequence watermarks, so each tick
         # ships only what that peer has not been sent yet instead of
         # re-flooding the whole horizon.  Changes payload sizes (hence
-        # simulated transfer timing), so it is opt-in rather than part
-        # of the result-preserving fast paths.
+        # simulated transfer timing), so it is opt-in.
         self._peer_marks: dict[str, int] = {}
 
     # -- lifecycle ----------------------------------------------------------

@@ -12,19 +12,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Deque, Optional
-
-import numpy as np
 
 from repro.grid.job import Job, JobState
 from repro.sim.kernel import Simulator
-
-#: Below this queue depth the vectorized drain falls back to the scalar
-#: loop: numpy call overhead beats the per-job bookkeeping it saves on
-#: short queues.  Both paths compute the same FIFO prefix, so the
-#: threshold is a pure performance knob (results are bit-identical).
-_VECTORIZE_MIN_QUEUE = 16
 
 __all__ = ["Cluster", "Site"]
 
@@ -50,28 +41,17 @@ class Site:
     is the conservative default).  ``backfill=True`` switches to an
     aggressive backfill discipline: any queued job that fits may start,
     in queue order (EASY-style without reservations — small jobs slip
-    past a stuck wide job).
-
-    ``vectorized=True`` (default) computes the FIFO drain prefix in one
-    numpy cumsum/searchsorted pass when the queue is deep, and batches
-    completion timers per (site, completion-time) bucket so a wave of
-    equal-duration jobs started at the same instant shares one heap
-    entry.  Both are result-preserving — the prefix is exactly the set
-    the scalar while-loop would start, and bucketed completions run
-    each job through the same per-job path in the same order — proven
-    by ``digruber diff --pair vectorized-sites``.  Backfill is
-    sequential-dependent (each start changes what fits next for the
-    jobs it skipped), so it always uses the scalar pass.
+    past a stuck wide job).  Each started job gets its own completion
+    timer.
     """
 
     def __init__(self, sim: Simulator, name: str, clusters: list[Cluster],
-                 backfill: bool = False, vectorized: bool = True):
+                 backfill: bool = False):
         if not clusters:
             raise ValueError(f"site {name!r} needs at least one cluster")
         self.sim = sim
         self.name = name
         self.backfill = backfill
-        self.vectorized = vectorized
         self.clusters = list(clusters)
         self.total_cpus = sum(c.cpus for c in clusters)
         self.busy_cpus = 0
@@ -94,9 +74,6 @@ class Site:
         self.jobs_completed = 0
         self.jobs_failed = 0
         self.jobs_rejected = 0
-        #: Drains served by the numpy prefix pass (tests/benches use
-        #: this to prove the vectorized path actually engaged).
-        self.vector_drains = 0
 
     # -- public API --------------------------------------------------------
     @property
@@ -188,9 +165,6 @@ class Site:
 
     def _drain(self) -> None:
         if not self.backfill:
-            if self.vectorized and len(self._queue) >= _VECTORIZE_MIN_QUEUE:
-                self._drain_vectorized()
-                return
             while self._queue and self._queue[0].cpus <= self.free_cpus:
                 job = self._queue.popleft()
                 self._start(job)
@@ -210,64 +184,9 @@ class Site:
                 kept.append(job)
         self._queue.extend(kept)
 
-    def _drain_vectorized(self) -> None:
-        """Start the FIFO drain prefix in one cumsum/searchsorted pass.
-
-        Head-of-line FIFO starts the longest queue prefix whose total
-        CPU demand fits the free CPUs — exactly what the scalar
-        while-loop computes one job at a time.  Each job needs at least
-        one CPU, so only the first ``free_cpus`` queue entries can ever
-        be part of the prefix; the scan is bounded by that, not by the
-        queue depth.
-        """
-        q = self._queue
-        free = self.free_cpus
-        if not q or q[0].cpus > free:
-            return
-        n = len(q) if len(q) < free else free
-        cpus = np.fromiter((job.cpus for job in islice(q, n)),
-                           dtype=np.int64, count=n)
-        take = int(np.searchsorted(np.cumsum(cpus), free, side="right"))
-        if take == 0:  # pragma: no cover - head-fits guard above
-            return
-        self.vector_drains += 1
-        batch = [q.popleft() for _ in range(take)]
-        self._start_batch(batch)
-
     def _start(self, job: Job) -> None:
         self._advance_integral()
         now = self.sim.now
-        self._start_body(job, now)
-        self.sim.schedule(job.duration_s,
-                          lambda: self._complete(job, started=now))
-
-    def _start_batch(self, jobs: list[Job]) -> None:
-        """Start a drain prefix with completion timers bucketed by time.
-
-        Jobs from one drain wave that complete at the same instant
-        share a single heap entry; the bucket's timer is scheduled when
-        its first member starts, so it holds the seq slot that member's
-        scalar timer would have held, and members complete in start
-        (= queue) order — the scalar pop order for equal-time timers.
-        Completion itself stays per-job (:meth:`_complete`), including
-        the re-drain after each job, so downstream effects interleave
-        exactly as in the scalar path.
-        """
-        self._advance_integral()
-        now = self.sim.now
-        schedule = self.sim.schedule
-        buckets: dict[float, list[Job]] = {}
-        for job in jobs:
-            self._start_body(job, now)
-            group = buckets.get(job.duration_s)
-            if group is None:
-                group = buckets[job.duration_s] = [job]
-                schedule(job.duration_s,
-                         lambda g=group: self._complete_batch(g, started=now))
-            else:
-                group.append(job)
-
-    def _start_body(self, job: Job, now: float) -> None:
         self.busy_cpus += job.cpus
         job.mark_running(now)
         if job.dispatched_at is not None:
@@ -285,10 +204,8 @@ class Site:
         self._running[job.jid] = job
         for cb in self.on_job_started:
             cb(job)
-
-    def _complete_batch(self, jobs: list[Job], started: float) -> None:
-        for job in jobs:
-            self._complete(job, started=started)
+        self.sim.schedule(job.duration_s,
+                          lambda: self._complete(job, started=now))
 
     def _complete(self, job: Job, started: Optional[float] = None) -> None:
         if job.jid not in self._running:

@@ -26,9 +26,6 @@ ad-hoc print statements:
   (trace tail, open spans, recent snapshots, kernel + checker state)
   dumped to ``flight-<seed>.json`` on crash, strict-check violation,
   or SIGTERM; analyzed by ``digruber postmortem``.
-* :mod:`repro.obs.profiler` — a sampling wall-clock profiler that
-  attributes CPU time to subsystem buckets (dispatch / site-drain /
-  sync / decide / control) for ``BENCH_kernel.json``.
 
 One :class:`~repro.obs.trace.Tracer` and one
 :class:`~repro.obs.counters.MetricsRegistry` hang off every

@@ -4,7 +4,8 @@ Committed BENCH numbers must be reproducible from any invoking shell:
 measured cells run in subprocesses with a *pinned* environment
 (``PYTHONHASHSEED=0``, repo ``REPRO_*`` toggles stripped).  These tests
 gate that pinning plus the shard-axis plumbing (digest consistency,
-speedup-floor gate) without paying for a real sweep.
+speedup-floor gate) without paying for a real sweep, and the one
+measured cell's row shape.
 """
 
 import json
@@ -42,7 +43,7 @@ class TestCellEnv:
 
         monkeypatch.setattr(bench_scale.subprocess, "run", fake_run)
         out = bench_scale._run_cell_isolated(
-            dict(multiplier=1, dps=3, duration_s=60.0, optimized=True))
+            dict(multiplier=1, dps=3, duration_s=60.0))
         assert out == {"ok": True}
         assert seen["env"]["PYTHONHASHSEED"] == "0"
         assert "REPRO_BENCH_DURATION" not in seen["env"]
@@ -59,17 +60,32 @@ class TestShardAxis:
 
     def test_shard_gate_accepts_consistent_fast_rows(self):
         rows = [{"multiplier": 10, "dps": 10, "digest_consistent": True,
-                 "speedup_vs_base": bench_scale.SHARD4_SPEEDUP_FLOOR + 1}]
+                 "speedup_vs_serial": bench_scale.SHARD4_SPEEDUP_FLOOR}]
         ok, problems = bench_scale.shard_gate(rows)
         assert ok and problems == []
 
     def test_shard_gate_rejects_divergence_and_slow_rows(self):
         rows = [
             {"multiplier": 10, "dps": 10, "digest_consistent": False,
-             "speedup_vs_base": 99.0},
+             "speedup_vs_serial": 99.0},
             {"multiplier": 10, "dps": 10, "digest_consistent": True,
-             "speedup_vs_base": 0.5},
+             "speedup_vs_serial": 0.95},
         ]
         ok, problems = bench_scale.shard_gate(rows)
         assert not ok
         assert len(problems) == 2
+
+    def test_shard_gate_skips_rows_without_a_serial_run(self):
+        rows = [{"multiplier": 100, "dps": 10, "digest_consistent": True}]
+        assert bench_scale.shard_gate(rows) == (True, [])
+
+
+class TestSerialCell:
+    def test_cell_row_has_one_mode(self):
+        row = bench_scale.run_cell(multiplier=1, dps=3, duration_s=60.0)
+        assert row["events"] > 0 and row["events_per_s"] > 0
+        assert not {"optimized", "batch", "vector_drains"} & set(row)
+
+    def test_heap_bound_holds(self):
+        bound = bench_scale.measure_heap_bound(n_rpcs=2_000)
+        assert bound["bounded"] and bound["heap_end"] == 0

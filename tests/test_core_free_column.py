@@ -1,10 +1,11 @@
 """The free-CPU column behind availability answers.
 
 * :class:`FreeSnapshot` — the immutable ``Mapping`` a view hands out;
-* a Hypothesis property: after any sequence of view writes, the indexed
-  view's snapshot equals the legacy (``indexed=False``) view entry for
-  entry, old snapshots never change, and unwritten views return the
-  same object;
+* a Hypothesis property: after any sequence of view writes, the view's
+  snapshot equals that of :class:`ReferenceStateView` (the unindexed
+  scans the indexes replaced, kept here as the oracle) entry for entry,
+  old snapshots never change, and unwritten views return the same
+  object;
 * selector equivalence against the dict-scan implementations the
   column replaced (kept here as the oracle): same pick, same rng state;
 * ``audit()`` reports a corrupted column entry.
@@ -12,6 +13,7 @@
 
 from __future__ import annotations
 
+import heapq
 from typing import Optional
 
 import numpy as np
@@ -76,14 +78,58 @@ class TestFreeSnapshot:
 
 
 # ---------------------------------------------------------------------------
-# Indexed view vs the legacy reference, under random write sequences
+# Indexed view vs the scanning reference, under random write sequences
 # ---------------------------------------------------------------------------
 
+class ReferenceStateView(GridStateView):
+    """The view's queries as plain scans, without the indexes.
+
+    :meth:`expire` walks every site heap instead of popping the
+    grid-wide expiry heap, :meth:`pending_records` filters every live
+    record instead of walking the learn ring, and availability answers
+    are recomputed dicts instead of shared column snapshots.  Writes are
+    inherited, so the oracle differs from the view only in how it
+    answers.
+    """
+
+    def expire(self, now: float) -> int:
+        if now > self.latest_time:
+            self.latest_time = now
+        cutoff = now - self.assumed_job_lifetime_s
+        dropped = 0
+        for heap in self._records.values():
+            while heap and heap[0][0] < cutoff:
+                _, _, rec = heapq.heappop(heap)
+                self._drop(rec)
+                dropped += 1
+        if dropped:
+            self._prune_log()
+        return dropped
+
+    def free_map(self, now: Optional[float] = None) -> dict:
+        if now is not None:
+            self.expire(now)
+        return {s: self.estimated_free(s) for s in self.capacities}
+
+    def free_subset(self, sites, now: Optional[float] = None) -> dict:
+        if now is not None:
+            self.expire(now)
+        return {s: self.estimated_free(s) for s in sites}
+
+    def pending_records(self, newer_than: float) -> list:
+        learned = self._learned_at
+        return [rec for heap in self._records.values()
+                for _, _, rec in heap
+                if learned.get(rec.key, -float("inf")) > newer_than]
+
+
 def _engines():
-    return (GruberEngine("dp0", dict(SITES), assumed_job_lifetime_s=LIFETIME,
-                         state_index=True),
-            GruberEngine("dp0", dict(SITES), assumed_job_lifetime_s=LIFETIME,
-                         state_index=False))
+    reference = GruberEngine("dp0", dict(SITES),
+                             assumed_job_lifetime_s=LIFETIME)
+    reference.view = ReferenceStateView(dict(SITES),
+                                        assumed_job_lifetime_s=LIFETIME)
+    return (GruberEngine("dp0", dict(SITES), assumed_job_lifetime_s=LIFETIME),
+            reference)
 
 
 def _record(data, origin: str, sites: list, clock: float) -> DispatchRecord:

@@ -254,51 +254,34 @@ class TestUtilizationWindow:
             assert 0.0 < s.utilization(until=until) <= 1.0 + 1e-12
 
 
-class TestVectorizedDrain:
-    def _run(self, vectorized):
+class TestDeepFifoDrain:
+    def test_start_and_complete_sequence(self):
+        """A blocker pins the site busy so a deep FIFO backlog builds,
+        then its completion triggers one deep drain.  The sequence is
+        the one both the scalar and the former numpy-prefix drains
+        produced."""
         sim = Simulator()
-        s = Site(sim, "s", [Cluster("c", 8)], vectorized=vectorized)
+        s = Site(sim, "s", [Cluster("c", 8)])
         started = []
         completed = []
         s.on_job_started.append(lambda j: started.append((sim.now, j.jid)))
         s.on_job_completed.append(lambda j: completed.append((sim.now, j.jid)))
-        # A blocker pins the site busy so a deep FIFO backlog builds,
-        # then its completion triggers one deep drain.
         s.submit(Job(vo="vo0", group="g0", user="u0", cpus=8,
                      duration_s=10.0, jid=1000))
         for i in range(40):
             s.submit(Job(vo="vo0", group="g0", user="u0",
                          cpus=1 + (i % 3), duration_s=5.0 + i, jid=i))
         sim.run()
-        return started, completed, s.jobs_completed, s.utilization(
-            until=200.0), s.vector_drains
-
-    def test_matches_scalar_fifo_exactly(self):
-        vec = self._run(vectorized=True)
-        scalar = self._run(vectorized=False)
-        assert vec[:4] == scalar[:4]
-        assert vec[4] > 0 and scalar[4] == 0
-
-    def test_equal_durations_share_one_completion_timer(self):
-        sim = Simulator()
-        s = Site(sim, "s", [Cluster("c", 16)], vectorized=True)
-        s.submit(Job(vo="vo0", group="g0", user="u0", cpus=16,
-                     duration_s=10.0, jid=2000))
-        for i in range(16):
-            s.submit(Job(vo="vo0", group="g0", user="u0", cpus=1,
-                         duration_s=7.0, jid=2001 + i))
-        sim.run(until=10.0)  # blocker done; the 16-job wave starts
-        assert s.running_jobs == 16
-        # One bucketed timer for the whole equal-duration wave (the
-        # scalar path would hold 16 separate heap entries).
-        assert len(sim._heap) == 1
-        sim.run()
-        assert s.jobs_completed == 17
-
-    def test_backfill_keeps_scalar_pass(self, sim):
-        s = Site(sim, "s", [Cluster("c", 4)], backfill=True, vectorized=True)
-        for i in range(30):
-            s.submit(make_job(cpus=2, duration=10.0))
-        sim.run()
-        assert s.vector_drains == 0
-        assert s.jobs_completed == 30
+        start_times = [0, 10, 10, 10, 10, 15, 17, 17, 18, 27, 27, 28, 40, 40,
+                       41, 56, 56, 57, 75, 75, 76, 97, 97, 98, 122, 122, 123,
+                       150, 150, 151, 181, 181, 182, 215, 215, 216, 252, 252,
+                       253, 292, 292]
+        jids = [1000] + list(range(40))
+        assert started == [(float(t), j) for t, j in zip(start_times, jids)]
+        # Every job runs exactly its duration, and completions pop in
+        # time order (FIFO start order breaks no ties here).
+        durations = [10.0] + [5.0 + i for i in range(40)]
+        assert completed == [(t + d, j) for t, d, j in
+                             zip(start_times, durations, jids)]
+        assert s.jobs_completed == 41
+        assert s.utilization(until=200.0) == 1.0

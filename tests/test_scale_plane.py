@@ -2,8 +2,7 @@
 
 Covers the 10x-OSG survival work: cancellation-aware heap compaction,
 condition detach, pooled RPC timeouts, the indexed state view, delta
-sync, and the metrics fixes that only bite at scale — plus the
-determinism proof that the fast paths are result-preserving.
+sync, and the metrics fixes that only bite at scale.
 """
 
 import numpy as np
@@ -12,6 +11,7 @@ import pytest
 from repro.core.state import DispatchRecord, GridStateView
 from repro.net import ConstantLatency, Endpoint, Network
 from repro.sim import Simulator
+from tests.test_core_free_column import ReferenceStateView
 
 
 # ---------------------------------------------------------------------------
@@ -30,18 +30,6 @@ class TestConditionDetach:
         # The loser's scheduled call was cancelled on detach.
         assert slow_ev.call.cancelled
         assert slow_ev.callbacks == []
-
-    def test_anyof_detach_without_fast_keeps_timer(self):
-        sim = Simulator(fast=False)
-        fast_ev = sim.timeout(1.0)
-        slow_ev = sim.timeout(1000.0)
-        race = sim.any_of([fast_ev, slow_ev])
-        sim.run(until=2.0)
-        assert race.triggered
-        # Callback detach still happens (no leaked condition refs) but
-        # the timer itself stays armed (pre-change cost model).
-        assert slow_ev.callbacks == []
-        assert not slow_ev.call.cancelled
 
     def test_allof_detaches_on_failure(self):
         sim = Simulator()
@@ -97,22 +85,6 @@ class TestRpcHeapBoundedness:
         assert len(sim._heap) < 100
         assert sim.heap_peak < 1000  # not O(completed RPCs)
 
-    def test_legacy_mode_exhibits_the_bloat(self):
-        """Sanity: fast=False reproduces the pre-change heap growth."""
-        sim = Simulator(fast=False)
-        net = Network(sim, ConstantLatency(0.01))
-        Endpoint(net, "client")
-        server = Endpoint(net, "server")
-        server.register_handler("echo", lambda payload, src: payload)
-
-        def driver():
-            for i in range(2_000):
-                yield net.rpc("client", "server", "echo", {}, timeout=300.0)
-
-        sim.process(driver())
-        sim.run(until=41.0)  # 2000 RPCs x 0.02 s, timeouts still armed
-        assert sim.heap_peak > 1000  # dead timeouts accumulate
-
 
 # ---------------------------------------------------------------------------
 # State view: churn, expiry index, learn ring
@@ -123,12 +95,17 @@ def _rec(seq, site="s0", vo="cms", cpus=4, time=0.0, group=""):
                           cpus=cpus, time=time, group=group)
 
 
+def _view_class(reference: bool) -> type:
+    """The production view, or the test-local scanning reference."""
+    return ReferenceStateView if reference else GridStateView
+
+
 class TestStateChurn:
-    @pytest.mark.parametrize("indexed", [True, False])
-    def test_vo_busy_keys_do_not_accumulate(self, indexed):
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_vo_busy_keys_do_not_accumulate(self, reference):
         """Long sweeps: dead (site, consumer) keys must be deleted."""
-        view = GridStateView({"s0": 100}, assumed_job_lifetime_s=10.0,
-                             indexed=indexed)
+        view = _view_class(reference)({"s0": 100},
+                                      assumed_job_lifetime_s=10.0)
         for i in range(500):
             t = float(i)
             view.apply_record(_rec(i, vo=f"vo{i % 50}",
@@ -141,10 +118,10 @@ class TestStateChurn:
         assert view.n_records == 0
         assert view._vo_busy == {}
 
-    @pytest.mark.parametrize("indexed", [True, False])
-    def test_learn_log_pruned(self, indexed):
-        view = GridStateView({"s0": 100}, assumed_job_lifetime_s=10.0,
-                             indexed=indexed)
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_learn_log_pruned(self, reference):
+        view = _view_class(reference)({"s0": 100},
+                                      assumed_job_lifetime_s=10.0)
         for i in range(2_000):
             t = float(i)
             view.apply_record(_rec(i, time=t))
@@ -153,7 +130,7 @@ class TestStateChurn:
 
 
 class TestIndexedEquivalence:
-    """The indexed view must answer exactly like the legacy scan."""
+    """The indexed view must answer exactly like the scanning reference."""
 
     def _drive(self, view, rng):
         t = 0.0
@@ -176,8 +153,8 @@ class TestIndexedEquivalence:
 
     def test_free_map_and_pending_match_legacy(self):
         caps = {f"s{i}": 100 for i in range(5)}
-        fast = GridStateView(caps, assumed_job_lifetime_s=30.0, indexed=True)
-        slow = GridStateView(caps, assumed_job_lifetime_s=30.0, indexed=False)
+        fast = GridStateView(caps, assumed_job_lifetime_s=30.0)
+        slow = ReferenceStateView(caps, assumed_job_lifetime_s=30.0)
         t1 = self._drive(fast, np.random.default_rng(42))
         t2 = self._drive(slow, np.random.default_rng(42))
         assert t1 == t2
@@ -300,22 +277,18 @@ class TestConcurrencyRewrite:
 
 
 # ---------------------------------------------------------------------------
-# Determinism: fast paths are result-preserving
+# Determinism (cross-version behaviour is pinned by test_golden_digests)
 # ---------------------------------------------------------------------------
 
 class TestDeterminism:
-    def _summary(self, fast):
+    def _summary(self):
         from repro.experiments import run_experiment
         from repro.experiments.configs import canonical_gt3
         config = canonical_gt3(3, duration_s=240.0, n_clients=24,
-                               n_sites=30, total_cpus=4000,
-                               fast_paths=fast)
+                               n_sites=30, total_cpus=4000)
         result = run_experiment(config)
         return (result.summary(), result.n_jobs,
                 result.dp_ops(), result.client_fallbacks())
 
-    def test_fast_paths_byte_identical(self):
-        assert self._summary(True) == self._summary(False)
-
     def test_fast_on_is_self_deterministic(self):
-        assert self._summary(True) == self._summary(True)
+        assert self._summary() == self._summary()

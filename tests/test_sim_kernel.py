@@ -432,7 +432,7 @@ class TestCancelAccounting:
         """Entries removed by compaction uphold the popped-entry
         contract (``_sim`` cleared), so a double ``cancel()`` on a
         handle the compactor already dropped cannot re-note."""
-        sim = Simulator(fast=True, compact_min=4)
+        sim = Simulator(compact_min=4)
         calls = [sim.schedule(100.0 + i, lambda: None) for i in range(8)]
         for call in calls:
             call.cancel()
@@ -521,25 +521,47 @@ class TestDispatchRemoval:
         ev.remove_callback(first)  # after dispatch: still a no-op
 
 
-class TestBatchDispatch:
-    def test_flag_selects_the_loop(self):
-        assert Simulator().batch_dispatch
-        assert not Simulator(batch_dispatch=False).batch_dispatch
+class TestRunReplaysStep:
+    """``run(until)`` dispatches exactly what repeated ``step()`` does."""
 
-    def test_batched_and_scalar_runs_agree(self):
-        def run(batch):
-            sim = Simulator(batch_dispatch=batch)
-            fired = []
-            for i in range(50):
-                t = float(i % 7)  # dense timestamp collisions
-                sim.schedule(t, lambda i=i: fired.append((sim.now, i)))
-            sim.run(until=5.0)
-            tail_now = sim.now
-            sim.run()
-            return fired, tail_now, sim.now, sim.events_executed
-        assert run(True) == run(False)
+    @staticmethod
+    def _scenario(sim):
+        fired = []
+        for i in range(50):
+            t = float(i % 7)  # dense timestamp collisions
+            sim.schedule(t, lambda i=i: fired.append((sim.now, i)))
+        storm = [sim.schedule(6.5, lambda: fired.append("dead"))
+                 for _ in range(64)]
+        sibling = {}
 
-    def test_same_instant_reschedule_joins_the_batch(self, sim):
+        def cancel_mid_instant():
+            fired.append((sim.now, "cancel"))
+            sibling["h"].cancel()       # a same-instant sibling
+            for h in storm:             # enough to trip a compaction
+                h.cancel()
+        sim.schedule(3.0, cancel_mid_instant)
+        sibling["h"] = sim.schedule(3.0, lambda: fired.append("sibling"))
+        return fired
+
+    def test_run_and_step_agree(self):
+        ran = Simulator(compact_min=8)
+        fired_run = self._scenario(ran)
+        ran.run(until=2.5)
+        assert ran.now == 2.5
+        ran.run(until=3.0)
+        ran.run()
+        stepped = Simulator(compact_min=8)
+        fired_step = self._scenario(stepped)
+        while stepped.step():
+            pass
+        assert fired_run == fired_step
+        assert "sibling" not in fired_run and "dead" not in fired_run
+        assert (ran.now, ran.events_executed, ran.compactions) == (
+            stepped.now, stepped.events_executed, stepped.compactions)
+        assert ran.compactions >= 1
+        assert ran._dead == stepped._dead == 0
+
+    def test_same_instant_reschedule_runs_this_instant(self, sim):
         fired = []
         def chain(n):
             fired.append(n)
@@ -553,7 +575,7 @@ class TestBatchDispatch:
         assert fired == [0, "peer", 1, 2, 3]
         assert sim.now == 1.0
 
-    def test_cancel_inside_batch_skips_the_sibling(self, sim):
+    def test_cancel_mid_instant_skips_the_sibling(self, sim):
         fired = []
         handles = {}
         def first():
@@ -566,18 +588,16 @@ class TestBatchDispatch:
         assert fired == ["first"]
         assert sim.events_executed == 1
 
-    def test_compaction_during_batch_keeps_future_events(self):
-        # _compact must rebuild the heap *in place*: the batched loop
-        # holds a local alias across callbacks, and a mid-batch
-        # compaction that rebound the list would silently strand every
-        # remaining event.
+    def test_compaction_mid_instant_keeps_future_events(self):
+        # _compact rebuilds the heap *in place*; a compaction triggered
+        # from inside a callback must not strand the remaining events.
         sim = Simulator(compact_min=8)
         cancelled = [sim.schedule(5.0, lambda: None) for _ in range(64)]
         fired = []
         def cancel_storm():
             fired.append("storm")
             for h in cancelled:
-                h.cancel()  # trips the compaction threshold mid-batch
+                h.cancel()  # trips the compaction threshold
         sim.schedule(1.0, cancel_storm)
         sim.schedule(1.0, lambda: fired.append("same-instant"))
         sim.schedule(3.0, lambda: fired.append("future"))

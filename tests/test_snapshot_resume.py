@@ -21,14 +21,11 @@ def _digest(result):
 
 class TestResumeEqualsFresh:
     """The tentpole claim in unit form: a restored run's summary digest
-    equals the uninterrupted same-seed run's, across the same kernel
-    variants the differential-replay matrix covers."""
+    equals the uninterrupted same-seed run's, with flood and with
+    per-peer delta sync."""
 
-    @pytest.mark.parametrize("overrides", [
-        {},                                # default: fast + batched
-        {"fast_paths": False, "state_index": True},
-        {"batch_dispatch": False},
-    ], ids=["default", "fast-paths-off", "batch-dispatch-off"])
+    @pytest.mark.parametrize("overrides", [{}, {"sync_delta": True}],
+                             ids=["default", "delta-sync"])
     def test_matrix(self, tmp_path, overrides):
         config = smoke_config(n_clients=4, duration_s=200.0,
                               checkpoint_every_s=60.0,
