@@ -2,7 +2,7 @@
 """Scale sweep: does the simulator survive a 10x-Grid3/OSG grid?
 
 Sweeps grid multiplier k in {1, 3, 10} x decision-point count, running
-every cell once with per-peer delta sync on, and records:
+every cell once in the default configuration, and records:
 
 * ``events_per_s``  — kernel events executed per wall second;
 * ``heap_peak``     — peak ``len(sim._heap)`` (boundedness evidence);
@@ -91,7 +91,7 @@ def run_cell(multiplier: int, dps: int, duration_s: float) -> dict:
 
     config = scale_config(
         multiplier=multiplier, decision_points=dps, duration_s=duration_s,
-        sync_delta=True, name=f"scale-{multiplier}x-{dps}dp")
+        name=f"scale-{multiplier}x-{dps}dp")
     t0 = time.perf_counter()
     result = run_experiment(config)
     wall_s = time.perf_counter() - t0

@@ -9,7 +9,7 @@ nothing previously verified continuously:
   end of a run.
 * :mod:`repro.check.differ` — differential replay: run a config pair
   (spans on/off, telemetry on/off, 1 vs N workers, 1 vs N shards,
-  resumed vs uninterrupted, delta vs flood sync) and bisect to the
+  resumed vs uninterrupted) and bisect to the
   *first divergent event* instead of a bare "results differ".
 * :mod:`repro.check.lint` — AST determinism lint: wall-clock, ambient
   ``random``, unordered-set iteration, and unseeded-numpy use have no

@@ -3,8 +3,7 @@
 Several features claim to leave a run unchanged: span tracing and the
 telemetry sampler are read-only, ``run_parallel`` is worker-count
 independent, sharding is partition independent, checkpoint/restore is
-byte-identical, a frozen autoscaler is inert, and delta sync converges
-to the same views as flooding.  A bare "results differ" cannot debug
+byte-identical, and a frozen autoscaler is inert.  A bare "results differ" cannot debug
 such a claim.  Each claim maps to a named **pair** here; both sides run
 with journal probes installed (:func:`repro.check.digest.install_probes`)
 and the chained digests are compared, bisecting to the first divergent
@@ -21,12 +20,6 @@ Pair semantics:
   be strictly read-only, so both sides replay event-for-event;
 * ``workers`` — ``run_parallel`` with 1 vs 4 workers over the same
   config batch, comparing per-run summary digests;
-* ``delta-sync`` — flood vs per-peer delta dissemination.  Delta
-  changes payload sizes (hence simulated transfer timing), so full
-  experiments are *expected* to differ event-for-event; the claim is
-  **convergence**, checked on a scripted harness with no clients:
-  scripted dispatches, then quiescence, then every decision point's
-  final live record set must match between the two modes.
 * ``autoscale-frozen`` — no controller vs a controller whose policy
   never acts;
 * ``sharded-2`` / ``sharded-4`` — the space-parallel kernel's
@@ -223,72 +216,6 @@ def _pair_telemetry(duration_s: float, seed: int) -> DiffReport:
         "telemetry-on", _run_journaled(telemetry))
 
 
-def _pair_delta_sync(duration_s: float, seed: int) -> DiffReport:
-    ja = _scripted_sync_run(duration_s, seed, delta=False)
-    jb = _scripted_sync_run(duration_s, seed, delta=True)
-    return _report("delta-sync", "flood", ja, "delta", jb)
-
-
-def _scripted_sync_run(duration_s: float, seed: int,
-                       delta: bool) -> EventJournal:
-    """Scripted convergence harness for the delta-sync claim.
-
-    No clients, no WAN jitter in the dispatch script: each decision
-    point on a ring records a deterministic stream of local dispatches;
-    the overlay disseminates them (flood or delta); after a quiescence
-    window every decision point journals its final live record set and
-    per-site usage estimate.  Flood and delta must agree on all of it —
-    per-event timing is allowed to differ (payload sizes differ by
-    design), final knowledge is not.
-    """
-    from repro.core.broker import DIGruberDeployment
-    from repro.grid.builder import GridBuilder
-    from repro.net.container import GT3_PROFILE
-    from repro.net.latency import LanLatency
-    from repro.net.transport import Network
-    from repro.sim.kernel import Simulator
-    from repro.sim.rng import RngRegistry
-
-    n_dps = 4
-    interval_s = 20.0
-    sim = Simulator()
-    rng = RngRegistry(seed)
-    network = Network(sim, LanLatency(), kb_transfer_s=0.0)
-    grid = GridBuilder(sim, rng.stream("grid")).build(
-        n_sites=6, total_cpus=240, n_vos=2, groups_per_vo=2,
-        users_per_group=2, name="delta-diff")
-    deployment = DIGruberDeployment(
-        sim=sim, network=network, grid=grid, rng=rng,
-        profile=GT3_PROFILE,
-        n_decision_points=n_dps, topology_kind="ring",
-        sync_interval_s=interval_s, monitor_interval_s=duration_s * 10,
-        sync_delta=delta)
-    deployment.start()
-
-    sites = sorted(grid.sites)
-    dps = list(deployment.decision_points.values())
-    # Scripted dispatch plan: spread across DPs, sites, and VOs over the
-    # first half of the run; the second half is the convergence window.
-    for i in range(24):
-        t = 1.0 + i * (duration_s / 2) / 24
-        dp = dps[i % n_dps]
-        site = sites[i % len(sites)]
-        sim.schedule(
-            t, lambda dp=dp, site=site, i=i: dp.engine.record_local_dispatch(
-                site=site, vo=f"vo{i % 2}", cpus=1 + i % 3,
-                now=dp.sim.now))
-    sim.run(until=duration_s)
-
-    journal = EventJournal()
-    for dp_id in sorted(deployment.decision_points):
-        view = deployment.decision_points[dp_id].engine.view
-        keys = ",".join(f"{o}:{s}" for o, s in sorted(view._seen))
-        usage = ";".join(f"{site}={int(view._extra_busy[site])}"
-                         for site in sorted(view._extra_busy))
-        journal.record(sim.now, "dp.final", f"{dp_id}|{keys}|{usage}")
-    return journal
-
-
 def _pair_resume(duration_s: float, seed: int) -> DiffReport:
     """Uninterrupted run vs killed-and-restored run (the tentpole claim).
 
@@ -384,7 +311,6 @@ PAIRS: dict[str, Callable[[float, int], DiffReport]] = {
     "spans": _pair_spans,
     "telemetry": _pair_telemetry,
     "workers": _pair_workers,
-    "delta-sync": _pair_delta_sync,
     "autoscale-frozen": _pair_autoscale_frozen,
     "sharded-2": lambda d, s: _pair_sharded(2, d, s),
     "sharded-4": lambda d, s: _pair_sharded(4, d, s),

@@ -18,8 +18,9 @@ accounting invariants the rest of the codebase merely claims:
   ground truth, dedup-index agreement, free-column coherence);
 * **USLA share bounds** — published fair-share fractions stay in
   ``[0, 1]`` and per-consumer usage never exceeds the site estimate;
-* **sync monotonicity** — learn-sequence watermarks only advance and
-  per-peer delta marks never pass the view's learn counter;
+* **sync monotonicity** — the view's learn-sequence counter only
+  advances, and no decision point adopts more records than it
+  received;
 * **kernel sanity** — monotone clock, monotone executed-event count,
   no pending event behind the clock.
 
@@ -95,7 +96,6 @@ class InvariantChecker:
         self._last_events = -1
         self._last_integral: dict[str, float] = {}
         self._last_learn_count: dict[str, int] = {}
-        self._last_marks: dict[tuple[str, str], int] = {}
 
     # -- wiring ------------------------------------------------------------
     def watch_site(self, site: "Site") -> None:
@@ -314,25 +314,13 @@ class InvariantChecker:
         view = dp.engine.view
         for problem in view.audit():
             self._flag("view.audit", name, problem)
-        # Learn-sequence monotonicity, and per-peer delta watermarks
-        # bounded by (and never outrunning) the learn counter.
+        # Learn-sequence monotonicity.
         count = view._learn_count
         last = self._last_learn_count.get(name, 0)
         if count < last:
             self._flag("sync.learn_seq_monotone", name,
                        f"learn count {count} fell below {last}")
         self._last_learn_count[name] = count
-        for peer, mark in dp.sync._peer_marks.items():
-            if mark > count:
-                self._flag("sync.watermark_bound", name,
-                           f"mark for {peer} is {mark} > learn count "
-                           f"{count}")
-            key = (name, str(peer))
-            if mark < self._last_marks.get(key, 0):
-                self._flag("sync.watermark_monotone", name,
-                           f"mark for {peer} fell from "
-                           f"{self._last_marks.get(key)} to {mark}")
-            self._last_marks[key] = mark
         if dp.sync.records_adopted > dp.sync.records_received:
             self._flag("sync.adoption_bound", name,
                        f"adopted {dp.sync.records_adopted} > received "

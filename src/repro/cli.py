@@ -136,9 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="K", help="scale the grid to K x Grid3/OSG "
                      "(K x sites, CPUs, and clients; the paper's 10x "
                      "question is K=10)")
-    run.add_argument("--delta-sync", action="store_true",
-                     help="per-peer delta sync instead of horizon "
-                     "re-flooding (smaller payloads at scale)")
     run.add_argument("--check", action="store_true",
                      help="enable the online invariant checker "
                      "(conservation/accounting assertions at every "
@@ -217,14 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run only the resilient policy stack")
     add_obs(chaos)
 
+    from repro.check.differ import PAIRS
     diff = sub.add_parser(
         "diff", help="differential replay: run a config pair, bisect "
                      "to the first divergent event")
-    diff.add_argument("--pair", required=True,
-                      choices=("spans", "telemetry", "workers",
-                               "delta-sync", "autoscale-frozen",
-                               "sharded-2", "sharded-4", "resume",
-                               "resume-sharded"),
+    diff.add_argument("--pair", required=True, choices=tuple(PAIRS),
                       help="equivalence claim to check")
     diff.add_argument("--duration", type=float, default=300.0,
                       help="simulated seconds per side (default 300)")
@@ -486,8 +480,6 @@ def _cmd_run(args) -> int:
         overrides["resilience"] = ResilienceConfig()
     if args.queue_bound is not None:
         overrides["dp_queue_bound"] = args.queue_bound
-    if args.delta_sync:
-        overrides["sync_delta"] = True
     if args.check or args.check_strict:
         overrides["check_enabled"] = True
         overrides["check_strict"] = args.check_strict

@@ -186,21 +186,78 @@ class GruberClient(Endpoint):
             return self._broker_resilient(job)
         return self._broker_once(job)
 
-    def _broker_once(self, job: Job):
-        """One two-phase brokering operation for one job (paper §4.3)."""
-        t0 = self.sim.now
+    def _open_spans(self, job: Job, t0: float):
+        """Open the job's ``submit`` trace root and ``brokering`` span.
+
+        Returns ``(root, bspan)``, both ``None`` when not tracing.  The
+        root covers the job's whole lifecycle and is opened
+        retroactively at arrival, so host backlog wait is on it.
+        """
         spans = self.sim.spans
-        root = bspan = None
-        if spans.enabled:
-            # Trace root for the job's whole lifecycle, opened
-            # retroactively at arrival so host backlog wait is on it.
-            root = spans.start_trace("submit", self.node_id,
-                                     start=job.created_at, jid=job.jid,
-                                     vo=job.vo, group=job.group,
-                                     cpus=job.cpus,
-                                     dp=str(self.decision_point))
-            bspan = spans.start_span("brokering", self.node_id, root,
-                                     start=t0)
+        if not spans.enabled:
+            return None, None
+        root = spans.start_trace("submit", self.node_id,
+                                 start=job.created_at, jid=job.jid,
+                                 vo=job.vo, group=job.group, cpus=job.cpus,
+                                 dp=str(self.decision_point))
+        return root, spans.start_span("brokering", self.node_id, root,
+                                      start=t0)
+
+    def _close(self, root, bspan, outcome: str, **attrs) -> None:
+        """End one brokering operation and free the host's channel.
+
+        Runs on every exit *except* end-of-run suspension (the kernel
+        pins live generators), which leaves the spans open — exported
+        flagged as orphans, by design.
+        """
+        spans = self.sim.spans
+        spans.finish(bspan, **attrs)
+        spans.finish(root, outcome=outcome)
+        self.busy = False
+        self._pump()
+
+    def _query(self, dp, job: Job, ctx, timeout: Optional[float] = None):
+        """Send this job's brokering query to ``dp``: ``broker_job``
+        (one-phase) or ``get_state`` (two-phase)."""
+        if self.one_phase:
+            op, response_kb = "broker_job", REQUEST_KB
+        else:
+            op, response_kb = "get_state", self.state_response_kb
+        return self.network.rpc(self.node_id, dp, op,
+                                {"vo": job.vo, "group": job.group,
+                                 "cpus": job.cpus},
+                                size_kb=REQUEST_KB,
+                                response_size_kb=response_kb,
+                                timeout=timeout, trace_ctx=ctx)
+
+    def _place(self, dp, job: Job, answer, root,
+               timeout: Optional[float] = None):
+        """Place the job on the site ``answer`` points to.
+
+        One-phase answers name the site; two-phase answers are an
+        availability map the client's selector chooses from, after
+        which the site selector "informs the decision point about its
+        site selection".  Returns that ``report_dispatch`` RPC, or
+        ``None`` for one-phase.
+        """
+        if self.one_phase:
+            site = answer["site"]
+        else:
+            site = self._choose_site(answer, job.cpus)
+        self._dispatch(job, site, handled=True, parent=root)
+        self.n_handled += 1
+        if self.one_phase:
+            return None
+        return self.network.rpc(self.node_id, dp, "report_dispatch",
+                                {"site": site, "vo": job.vo,
+                                 "group": job.group, "cpus": job.cpus},
+                                size_kb=REPORT_KB, timeout=timeout,
+                                trace_ctx=self.sim.spans.ctx_of(root))
+
+    def _broker_once(self, job: Job):
+        """One brokering operation for one job (paper §4.3)."""
+        t0 = self.sim.now
+        root, bspan = self._open_spans(job, t0)
         outcome = "incomplete"
         try:
             # Client-side stack work (auth, marshalling) ...
@@ -216,22 +273,8 @@ class GruberClient(Endpoint):
                                                    self.decision_point)
                           for _ in range(extra_rtts))
 
-            if self.one_phase:
-                ev = self.network.rpc(self.node_id, self.decision_point,
-                                      "broker_job",
-                                      {"vo": job.vo, "group": job.group,
-                                       "cpus": job.cpus},
-                                      size_kb=REQUEST_KB,
-                                      response_size_kb=REQUEST_KB,
-                                      trace_ctx=spans.ctx_of(bspan))
-            else:
-                ev = self.network.rpc(self.node_id, self.decision_point,
-                                      "get_state",
-                                      {"vo": job.vo, "group": job.group,
-                                       "cpus": job.cpus},
-                                      size_kb=REQUEST_KB,
-                                      response_size_kb=self.state_response_kb,
-                                      trace_ctx=spans.ctx_of(bspan))
+            ev = self._query(self.decision_point, job,
+                             self.sim.spans.ctx_of(bspan))
             remaining = self.timeout_s - (self.sim.now - t0)
             timed_out = False
             if remaining <= 0:
@@ -270,21 +313,8 @@ class GruberClient(Endpoint):
                     self._record_query(t0, None, timed_out=True)
                 return
 
-            if self.one_phase:
-                site = ev.value["site"]
-                self._dispatch(job, site, handled=True, parent=root)
-                self.n_handled += 1
-            else:
-                site = self._choose_site(ev.value, job.cpus)
-                self._dispatch(job, site, handled=True, parent=root)
-                self.n_handled += 1
-                report = self.network.rpc(self.node_id, self.decision_point,
-                                          "report_dispatch",
-                                          {"site": site, "vo": job.vo,
-                                           "group": job.group,
-                                           "cpus": job.cpus},
-                                          size_kb=REPORT_KB,
-                                          trace_ctx=spans.ctx_of(root))
+            report = self._place(self.decision_point, job, ev.value, root)
+            if report is not None:
                 # Bounded wait: a report whose request or response is
                 # lost would otherwise never resolve and wedge this
                 # host's single brokering channel for the rest of the
@@ -302,13 +332,7 @@ class GruberClient(Endpoint):
             self._record_query(t0, self.sim.now, timed_out=False)
             outcome = "ok"
         finally:
-            # Runs on every exit *except* end-of-run suspension (the
-            # kernel pins live generators), which leaves these spans
-            # open — exported flagged as orphans, by design.
-            spans.finish(bspan)
-            spans.finish(root, outcome=outcome)
-            self.busy = False
-            self._pump()
+            self._close(root, bspan, outcome)
 
     # -- resilient path (repro.resilience) --------------------------------
     def _breaker(self, dp) -> CircuitBreaker:
@@ -362,16 +386,7 @@ class GruberClient(Endpoint):
         policy = self.resilience
         t0 = self.sim.now
         attempt_timeout = policy.attempt_timeout_s or self.timeout_s
-        spans = self.sim.spans
-        root = bspan = None
-        if spans.enabled:
-            root = spans.start_trace("submit", self.node_id,
-                                     start=job.created_at, jid=job.jid,
-                                     vo=job.vo, group=job.group,
-                                     cpus=job.cpus,
-                                     dp=str(self.decision_point))
-            bspan = spans.start_span("brokering", self.node_id, root,
-                                     start=t0)
+        root, bspan = self._open_spans(job, t0)
         outcome = "incomplete"
         attempts = 0
         try:
@@ -398,22 +413,8 @@ class GruberClient(Endpoint):
                 if extra_rtts:
                     yield sum(self.network.latency.rtt(self.node_id, dp)
                               for _ in range(extra_rtts))
-                if self.one_phase:
-                    ev = self.network.rpc(self.node_id, dp, "broker_job",
-                                          {"vo": job.vo, "group": job.group,
-                                           "cpus": job.cpus},
-                                          size_kb=REQUEST_KB,
-                                          response_size_kb=REQUEST_KB,
-                                          timeout=attempt_timeout,
-                                          trace_ctx=spans.ctx_of(bspan))
-                else:
-                    ev = self.network.rpc(self.node_id, dp, "get_state",
-                                          {"vo": job.vo, "group": job.group,
-                                           "cpus": job.cpus},
-                                          size_kb=REQUEST_KB,
-                                          response_size_kb=self.state_response_kb,
-                                          timeout=attempt_timeout,
-                                          trace_ctx=spans.ctx_of(bspan))
+                ev = self._query(dp, job, self.sim.spans.ctx_of(bspan),
+                                 timeout=attempt_timeout)
                 try:
                     yield ev
                 except RpcError:
@@ -430,21 +431,9 @@ class GruberClient(Endpoint):
                         yield policy.backoff_delay(attempt, self.rng)
                     continue
                 breaker.on_success()
-                if self.one_phase:
-                    site = ev.value["site"]
-                else:
-                    site = self._choose_site(ev.value, job.cpus)
-                self._dispatch(job, site, handled=True, parent=root)
-                self.n_handled += 1
-                if not self.one_phase:
-                    report = self.network.rpc(self.node_id, dp,
-                                              "report_dispatch",
-                                              {"site": site, "vo": job.vo,
-                                               "group": job.group,
-                                               "cpus": job.cpus},
-                                              size_kb=REPORT_KB,
-                                              timeout=attempt_timeout,
-                                              trace_ctx=spans.ctx_of(root))
+                report = self._place(dp, job, ev.value, root,
+                                     timeout=attempt_timeout)
+                if report is not None:
                     try:
                         yield report
                     except RpcError:
@@ -461,10 +450,7 @@ class GruberClient(Endpoint):
             self._record_query(t0, None, timed_out=True)
             outcome = "timeout"
         finally:
-            spans.finish(bspan, attempts=attempts)
-            spans.finish(root, outcome=outcome)
-            self.busy = False
-            self._pump()
+            self._close(root, bspan, outcome, attempts=attempts)
 
     # -- dispatch ------------------------------------------------------------
     def _choose_site(self, availabilities: Mapping, cpus: int) -> str:

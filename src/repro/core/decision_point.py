@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.engine import GruberEngine
 from repro.core.monitor import SiteMonitor
-from repro.core.selectors import LeastUsedSelector, least_bad_site
+from repro.core.selectors import least_bad_site, make_selector
 from repro.core.sync import DisseminationStrategy, SyncProtocol
 from repro.grid.builder import Grid
 from repro.net.container import ContainerProfile, ServiceContainer
@@ -55,7 +55,8 @@ class DecisionPoint(Endpoint):
                  assumed_job_lifetime_s: float = 900.0,
                  private: bool = False,
                  max_queue: Optional[int] = None,
-                 sync_delta: bool = False):
+                 selector: str = "least_used",
+                 selector_spread: float = 0.85):
         super().__init__(network, node_id)
         self.sim = sim
         self.grid = grid
@@ -81,7 +82,7 @@ class DecisionPoint(Endpoint):
                                    interval_s=monitor_interval_s,
                                    jitter_s=monitor_interval_s * 0.05, rng=rng)
         self.sync = SyncProtocol(self, interval_s=sync_interval_s,
-                                 strategy=strategy, delta=sync_delta)
+                                 strategy=strategy)
         self.neighbors: list[Hashable] = []
         #: Per-decision-point decide latency (request arrival → answer
         #: ready, i.e. container queueing + service time).  Always-on,
@@ -99,8 +100,10 @@ class DecisionPoint(Endpoint):
         #: themselves.
         self.on_restart: list = []
 
-        # Server-side selector for the one-phase protocol variant.
-        self._server_selector = LeastUsedSelector(rng, spread=0.85)
+        # Server-side selector for the one-phase protocol variant: the
+        # same policy the clients apply in the two-phase protocol.
+        self._server_selector = make_selector(selector, rng,
+                                              spread=selector_spread)
 
         self.register_handler("get_state", self._handle_get_state)
         self.register_handler("report_dispatch", self._handle_report_dispatch)
@@ -191,10 +194,6 @@ class DecisionPoint(Endpoint):
             self.sim.process(self._resync_from_peers(),
                              name=f"resync:{self.node_id}")
 
-    def recover(self) -> None:
-        """Bring the service back without peer resync (legacy behaviour)."""
-        self.restart(resync=False)
-
     def _resync_from_peers(self):
         """Pull live dispatch records from each neighbor after a restart.
 
@@ -234,30 +233,41 @@ class DecisionPoint(Endpoint):
         self.neighbors = list(neighbors)
 
     # -- handlers ------------------------------------------------------------
-    def _handle_get_state(self, payload, src, ctx=None):
-        """Availability query; generator consumes container service time.
+    def _decide(self, op: str, vo, group, ctx):
+        """The decide step of both query operations (a generator).
 
-        ``ctx`` is the caller's span context (the transport passes
-        ``Message.trace_ctx`` to three-argument handlers); the decide
-        span it parents is annotated with the view's *staleness* — the
-        sim-time age of the freshest information the answer rests on.
+        Consumes the container's query service time, then asks the
+        engine for the availability map; the decide latency (arrival →
+        answer ready) feeds this node's histogram.  ``ctx`` is the
+        caller's span context (the transport passes
+        ``Message.trace_ctx`` to three-argument handlers).  Returns
+        ``(availabilities, now, dspan)``; the caller finishes ``dspan``
+        (``None`` when not tracing) with its staleness annotation.
         """
-        payload = payload or {}
-        vo = payload.get("vo")
-        group = payload.get("group")
         t_in = self.sim.now
         spans = self.sim.spans
         dspan = None
         if spans.enabled and ctx is not None:
             dspan = spans.start_span("decide", self.node_id, ctx,
-                                     op="get_state", vo=vo)
+                                     op=op, vo=vo)
         yield from self.container.service_query()
         now = self.sim.now
         out = self.engine.availabilities(vo=vo, group=group, now=now)
         self._decide_hist.observe(now - t_in)
+        return out, now, dspan
+
+    def _handle_get_state(self, payload, src, ctx=None):
+        """Availability query; generator consumes container service time.
+
+        The decide span is annotated with the view's *staleness* — the
+        sim-time age of the freshest information the answer rests on.
+        """
+        payload = payload or {}
+        out, now, dspan = yield from self._decide(
+            "get_state", payload.get("vo"), payload.get("group"), ctx)
         if dspan is not None:
-            spans.finish(dspan,
-                         staleness_s=self.engine.view.info_age_s(now))
+            self.sim.spans.finish(
+                dspan, staleness_s=self.engine.view.info_age_s(now))
         return out
 
     def _handle_report_dispatch(self, payload, src, ctx=None):
@@ -294,25 +304,16 @@ class DecisionPoint(Endpoint):
         vo = payload["vo"]
         cpus = int(payload["cpus"])
         group = payload.get("group", "")
-        t_in = self.sim.now
-        spans = self.sim.spans
-        dspan = None
-        if spans.enabled and ctx is not None:
-            dspan = spans.start_span("decide", self.node_id, ctx,
-                                     op="broker_job", vo=vo)
-        yield from self.container.service_query()
-        now = self.sim.now
-        availabilities = self.engine.availabilities(vo=vo, group=group or None,
-                                                    now=now)
+        availabilities, now, dspan = yield from self._decide(
+            "broker_job", vo, group, ctx)
         site = self._server_selector.select(availabilities, cpus)
         if site is None:
             site = least_bad_site(availabilities, self.rng)
-        self._decide_hist.observe(now - t_in)
         if dspan is not None:
             # Per-site staleness of the *chosen* site, pre-recording.
-            spans.finish(dspan, site=site,
-                         staleness_s=self.engine.view.info_age_s(
-                             now, site=site))
+            self.sim.spans.finish(dspan, site=site,
+                                  staleness_s=self.engine.view.info_age_s(
+                                      now, site=site))
         self.engine.record_local_dispatch(site=site, vo=vo, cpus=cpus,
                                           now=now, group=group)
         return {"site": site}

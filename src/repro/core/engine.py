@@ -166,25 +166,19 @@ class GruberEngine:
         ``sync.lag_s`` histogram, the measured counterpart to the
         paper's epoch-interval sufficiency claim.
         """
-        adopted_keys = [] if self.journal is not None else None
+        lag_hist = None
         if now is not None and self.metrics is not None:
             lag_hist = self.metrics.histogram(
                 "sync.lag_s", bounds=self.SYNC_LAG_BOUNDS_S)
-            adopted = 0
-            for rec in records:
-                if self.view.apply_record(rec, now=now):
-                    adopted += 1
+        adopted_keys = [] if self.journal is not None else None
+        adopted = 0
+        for rec in records:
+            if self.view.apply_record(rec, now=now):
+                adopted += 1
+                if lag_hist is not None:
                     lag_hist.observe(max(now - rec.time, 0.0))
-                    if adopted_keys is not None:
-                        adopted_keys.append(rec.key)
-        elif adopted_keys is not None:
-            adopted = 0
-            for rec in records:
-                if self.view.apply_record(rec, now=now):
-                    adopted += 1
+                if adopted_keys is not None:
                     adopted_keys.append(rec.key)
-        else:
-            adopted = self.view.apply_records(records, now=now)
         if adopted_keys is not None and adopted:
             # Sorted key set: the journal must not depend on the order
             # in which the sync plane hands records over.

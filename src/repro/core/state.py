@@ -191,15 +191,15 @@ class GridStateView:
         self._tiebreak = itertools.count()
         # Incremental sums so estimates are O(1) per site per query.
         self._extra_busy: dict[str, float] = {s: 0.0 for s in site_capacities}
-        self._seen: set[tuple[str, int]] = set()
         # When *this node* learned each live record — the flooding relay
         # horizon keys off this, not the (possibly much older) dispatch
         # time, so records can travel any number of overlay hops.
         self._learned_at: dict[tuple[str, int], float] = {}
-        # The live record *object* per key.  Key membership alone is not
-        # a liveness test for index entries: an adversarial redelivery
-        # can reuse a dropped record's key (dedup discards keys on
-        # drop), leaving stale index entries whose key is live again.
+        # The live record *object* per key; its keys are the dedup set.
+        # Key membership alone is not a liveness test for index
+        # entries: an adversarial redelivery can reuse a dropped
+        # record's key (dedup forgets keys on drop), leaving stale
+        # index entries whose key is live again.
         self._live_rec: dict[tuple[str, int], DispatchRecord] = {}
         # Per-(site, vo) incremental usage estimate for USLA filtering.
         # Entries are deleted when they return to zero — long sweeps
@@ -277,7 +277,6 @@ class GridStateView:
                 # previously masked by max(..., 0.0) — forever.
                 vo_busy.pop(key, None)
         self._learned_at.pop(rec.key, None)
-        self._seen.discard(rec.key)
         if self._live_rec.get(rec.key) is rec:
             del self._live_rec[rec.key]
         self._update_free(rec.site)
@@ -333,7 +332,7 @@ class GridStateView:
         """
         if rec.site not in self.capacities:
             raise KeyError(f"dispatch record for unknown site {rec.site!r}")
-        if rec.key in self._seen:
+        if rec.key in self._live_rec:
             return False
         learn_time = rec.time if now is None else now
         if learn_time > self.latest_time:
@@ -344,7 +343,6 @@ class GridStateView:
         if learn_time - rec.time >= self.assumed_job_lifetime_s:
             # Arrived after its own expiry (very slow relay path).
             return False
-        self._seen.add(rec.key)
         if learn_time > self._last_learn_time:
             self._last_learn_time = learn_time
         if learn_time > self._site_learn_time.get(rec.site, _NEG_INF):
@@ -530,9 +528,10 @@ class GridStateView:
         """Live records learned after watermark ``seq``, oldest first.
 
         Returns ``(new_watermark, records)``.  Integer learn sequence
-        numbers make per-peer delta sync exact where float learn times
-        are not: two records learned at the same instant straddle no
-        boundary.  Feed the returned watermark back on the next call.
+        numbers make the sharded runtime's barrier export exact where
+        float learn times are not: two records learned at the same
+        instant straddle no boundary.  Feed the returned watermark back
+        on the next call.
         """
         live = self._live_rec
         out = []
@@ -589,10 +588,6 @@ class GridStateView:
             problems.append("current free snapshot differs from the column")
         free = col.tolist()
         live_keys = set(self._live_rec)
-        if live_keys != self._seen:
-            problems.append(
-                f"seen/live mismatch: {len(self._seen)} seen vs "
-                f"{len(live_keys)} live")
         if live_keys != set(self._learned_at):
             problems.append(
                 f"learned_at/live mismatch: {len(self._learned_at)} "
@@ -657,7 +652,7 @@ class GridStateView:
             "latest_time": _f(self.latest_time),
             "last_learn_time": _f(self._last_learn_time),
             "last_refresh_time": _f(self._last_refresh_time),
-            "n_seen": len(self._seen),
+            "n_seen": len(self._live_rec),
         }
 
     @property

@@ -18,7 +18,10 @@ Flooding: each tick a decision point sends every record it has learned
 recently (its own *and* relayed ones) to its overlay neighbors;
 receivers deduplicate by ``(origin, seq)``.  On the paper's mesh this
 converges in one exchange; on ring/line overlays (ablation benches)
-information travels one hop per tick.
+information travels one hop per tick.  Flooding is the only
+dissemination protocol: shipping each neighbor only what it has not
+been sent trims sync kilobytes on the wire but moves neither host cost
+nor any paper metric, so it is not worth a second protocol.
 """
 
 from __future__ import annotations
@@ -51,14 +54,13 @@ class SyncProtocol:
 
     def __init__(self, dp: "DecisionPoint", interval_s: float = 180.0,
                  strategy: DisseminationStrategy = DisseminationStrategy.USAGE_ONLY,
-                 jitter_s: float = 5.0, delta: bool = False):
+                 jitter_s: float = 5.0):
         if interval_s <= 0:
             raise ValueError("sync interval must be > 0")
         self.dp = dp
         self.interval_s = interval_s
         self.strategy = strategy
         self.jitter_s = jitter_s
-        self.delta = delta
         self.rounds_sent = 0
         self.records_sent = 0
         self.records_received = 0
@@ -74,11 +76,6 @@ class SyncProtocol:
         # the first real tick floods everything learned since t=0.
         self._last_ticks: deque[float] = deque(
             [-float("inf"), -float("inf")], maxlen=2)
-        # Delta mode: per-peer learn-sequence watermarks, so each tick
-        # ships only what that peer has not been sent yet instead of
-        # re-flooding the whole horizon.  Changes payload sizes (hence
-        # simulated transfer timing), so it is opt-in.
-        self._peer_marks: dict[str, int] = {}
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
@@ -109,7 +106,6 @@ class SyncProtocol:
             "kb_sent": self.kb_sent,
             "last_ticks": [None if t == -float("inf") else t
                            for t in self._last_ticks],
-            "peer_marks": sorted(self._peer_marks.items()),
         }
 
     # -- send side ------------------------------------------------------------
@@ -121,9 +117,6 @@ class SyncProtocol:
         records and USLA store stay out of every payload.
         """
         dp = self.dp
-        if self.delta:
-            self._tick_delta()
-            return
         # Everything learned since two ticks ago: each record is
         # flooded on exactly two consecutive rounds regardless of the
         # jittered spacing between them.
@@ -158,55 +151,6 @@ class SyncProtocol:
             dp.sim.trace.emit("sync.round", node=dp.node_id,
                               records=len(records),
                               neighbors=len(dp.neighbors), kb=size_kb)
-
-    def _tick_delta(self) -> None:
-        """Delta exchange round: each peer gets only what it has not
-        been sent before, tracked by an integer learn-sequence
-        watermark (exact where float horizons are not — two records
-        learned at the same instant straddle no boundary).
-
-        The watermark advances per peer even when the send is an
-        oneway best-effort message; a lost sync degrades to the next
-        monitor refresh exactly as a lost flood round does.
-        """
-        dp = self.dp
-        view = dp.engine.view
-        private = getattr(dp, "private", False)
-        uslas = None
-        usla_kb = 0.0
-        if self.strategy is DisseminationStrategy.USAGE_AND_USLA and not private:
-            uslas = dp.engine.usla_store.export()
-            usla_kb = len(dp.engine.usla_store) * AGREEMENT_KB
-        spans = dp.sim.spans
-        sspan = None
-        if spans.enabled:
-            sspan = spans.start_trace("sync.delta", dp.node_id,
-                                      neighbors=len(dp.neighbors))
-        ctx = spans.ctx_of(sspan)
-        round_records = 0
-        round_kb = 0.0
-        for peer in dp.neighbors:
-            mark, records = view.records_since(self._peer_marks.get(peer, 0))
-            self._peer_marks[peer] = mark
-            if private:
-                records = [r for r in records if r.origin != dp.engine.owner]
-            payload: dict = {"records": records}
-            size_kb = len(records) * RECORD_KB + usla_kb
-            if uslas is not None:
-                payload["uslas"] = uslas
-            dp.network.send_oneway(dp.node_id, peer, "sync", payload,
-                                   size_kb=size_kb, trace_ctx=ctx)
-            round_records += len(records)
-            round_kb += size_kb
-        spans.finish(sspan, records=round_records, kb=round_kb)
-        self.rounds_sent += 1
-        self.records_sent += round_records
-        self.kb_sent += round_kb
-        dp.sim.metrics.counter("sync.rounds").inc()
-        if dp.sim.trace.enabled:
-            dp.sim.trace.emit("sync.round", node=dp.node_id,
-                              records=round_records, delta=True,
-                              neighbors=len(dp.neighbors), kb=round_kb)
 
     # -- receive side -----------------------------------------------------------
     def on_sync(self, payload: dict, ctx=None) -> None:

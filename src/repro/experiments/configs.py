@@ -99,11 +99,6 @@ class ExperimentConfig:
     # autoscaler has something to track.
     workload_profile: str = "steady"
 
-    # ``sync_delta`` ships per-peer deltas instead of re-flooding the
-    # horizon; it changes payload sizes (hence simulated timing), so it
-    # is an opt-in.
-    sync_delta: bool = False
-
     # Correctness plane (repro.check).  The online invariant checker
     # rides the run as a periodic checkpoint pass — opt-in because it
     # costs per-checkpoint work; zero-cost when off (nothing is

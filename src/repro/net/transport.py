@@ -313,10 +313,6 @@ class Network:
         self._pending_rpcs[rpc_id] = pending
         self.stats.rpcs_started += 1
         self.stats.count(op)
-        trace = self.sim.trace
-        if trace.verbose and trace.enabled:
-            trace.emit("rpc.send", node=src, dst=str(dst), op=op,
-                       rpc_id=rpc_id, size_kb=size_kb)
 
         msg = Message(src=src, dst=dst, kind="request", op=op, payload=payload,
                       size_kb=size_kb, sent_at=self.sim.now, rpc_id=rpc_id,
@@ -361,8 +357,8 @@ class Network:
         """Close one RPC span: latency histogram + counters + trace.
 
         Emits a single compact ``rpc.span`` event per RPC (fields per
-        ``repro.obs.trace.SPAN_FIELDS``) — the full intermediate chain
-        is available under ``tracer.verbose``.
+        ``repro.obs.trace.SPAN_FIELDS``), the only trace event of the
+        RPC's request/response chain.
         """
         now = self.sim.now
         latency = now - pending.started_at
@@ -388,10 +384,6 @@ class Network:
             # without one the pending entry must not leak.
             self._abandon_if_unreaped(msg.rpc_id, "endpoint_offline")
             return
-        trace = self.sim.trace
-        if trace.verbose and trace.enabled:
-            trace.emit("rpc.handle", node=msg.dst, op=msg.op,
-                       rpc_id=msg.rpc_id, src=str(msg.src))
         handler = ep.handlers.get(msg.op)
         if handler is None:
             self._send_response(msg, RpcError(f"no handler for {msg.op!r} on {msg.dst!r}"),
@@ -428,10 +420,6 @@ class Network:
                        sent_at=self.sim.now, rpc_id=request.rpc_id, ok=ok)
         self.stats.messages += 1
         self.stats.kb += size_kb
-        trace = self.sim.trace
-        if trace.verbose and trace.enabled:
-            trace.emit("rpc.respond", node=request.dst, op=request.op,
-                       rpc_id=request.rpc_id, ok=ok, size_kb=size_kb)
         if self._lost():
             # Dropped response: without a timeout nothing else would
             # ever reap the caller's pending entry.
@@ -456,10 +444,6 @@ class Network:
         if pending is None or pending.event.triggered:
             # Caller timed out and went on; response discarded (paper §4.3).
             self.stats.responses_discarded += 1
-            trace = self.sim.trace
-            if trace.verbose and trace.enabled:
-                trace.emit("rpc.discard", node=resp.dst, op=resp.op,
-                           rpc_id=resp.rpc_id)
             return
         if pending.timeout_call is not None:
             # The RPC resolved first; don't leave the timeout ticking

@@ -19,7 +19,7 @@ proves it end to end (journals, spans, telemetry, summary digests).
 
 On-disk format (``write_snapshot``)::
 
-    {"meta": {"format": "digruber-snapshot", "version": 1, "crc": ...},
+    {"meta": {"format": "digruber-snapshot", "version": 2, "crc": ...},
      "snapshot": {...}}
 
 ``crc`` covers the canonical (sorted-keys) JSON of the snapshot body;
@@ -55,7 +55,10 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "digruber-snapshot"
-SNAPSHOT_VERSION = 1
+#: Bumped whenever a captured section changes shape (2: the sync
+#: section lost its per-peer delta watermarks), so an older file is
+#: refused by version instead of failing its digests after replay.
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(RuntimeError):

@@ -85,6 +85,14 @@ class TestSerialCell:
         row = bench_scale.run_cell(multiplier=1, dps=3, duration_s=60.0)
         assert row["events"] > 0 and row["events_per_s"] > 0
         assert not {"optimized", "batch", "vector_drains"} & set(row)
+        # The cell measures the default configuration (flooding sync):
+        # the same run, event for event, as a bare scale_config.
+        from repro.experiments import run_experiment
+        from repro.experiments.configs import scale_config
+        plain = run_experiment(scale_config(
+            multiplier=1, decision_points=3, duration_s=60.0,
+            name="scale-1x-3dp"))
+        assert row["events"] == plain.sim.events_executed
 
     def test_heap_bound_holds(self):
         bound = bench_scale.measure_heap_bound(n_rpcs=2_000)

@@ -202,23 +202,6 @@ class TestDecisionPointInvariants:
                                         cpus=2, now=0.0)
         assert c.check() == []
 
-    def test_watermark_bound_violation(self, env):
-        sim, rng, net, grid = env
-        dp = make_dp(sim, rng, net, grid)
-        c = InvariantChecker(sim)
-        c.watch_dp(dp)
-        dp.sync._peer_marks["dp9"] = 999  # beyond anything learned
-        assert "sync.watermark_bound" in rules_of(c.check())
-
-    def test_watermark_monotone_violation(self, env):
-        sim, rng, net, grid = env
-        dp = make_dp(sim, rng, net, grid)
-        c = InvariantChecker(sim)
-        c.watch_dp(dp)
-        c._last_marks[("dp0", "dp9")] = 5
-        dp.sync._peer_marks["dp9"] = 0
-        assert "sync.watermark_monotone" in rules_of(c.check())
-
     def test_policy_cache_incoherence_detected(self, env):
         sim, rng, net, grid = env
         dp = make_dp(sim, rng, net, grid, usla_aware=True)
@@ -249,9 +232,9 @@ class TestDecisionPointInvariants:
         c.watch_deployment(dep)
         assert c.check() == []
         added = dep.add_decision_point()
-        added.sync._peer_marks["dpX"] = 123
+        added.sync.records_adopted = added.sync.records_received + 1
         found = c.check()
-        assert "sync.watermark_bound" in rules_of(found)
+        assert "sync.adoption_bound" in rules_of(found)
         assert found[0].subject == str(added.node_id)
 
 

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core import DecisionPoint, GruberClient, LeastUsedSelector
+from repro.core import (
+    DecisionPoint,
+    GruberClient,
+    LeastUsedSelector,
+    RandomSelector,
+)
 from repro.experiments import smoke_config, run_experiment
 from repro.grid import GridBuilder
 from repro.net import (
@@ -83,3 +88,26 @@ class TestOnePhaseProtocol:
         # LAN + small grid: responses are dominated by client overhead.
         assert res.diperf().response_stats().average < 12.0
         assert res.n_jobs > 0
+
+
+class TestServerSideSelector:
+    def test_one_phase_brokers_with_configured_selector(self, monkeypatch):
+        """The decision point selects with the run's ``selector``; it
+        used to be hard-wired to least-used, so ``selector="random"``
+        silently brokered least-used in one-phase runs."""
+        picks = []
+        original = RandomSelector.select
+
+        def spy(self, availabilities, cpus):
+            site = original(self, availabilities, cpus)
+            picks.append(site)
+            return site
+
+        monkeypatch.setattr(RandomSelector, "select", spy)
+        res = run_experiment(smoke_config(n_clients=4, duration_s=200.0,
+                                          one_phase=True, selector="random"))
+        placed = sorted(j.site for c in res.clients for j in c.jobs
+                        if j.handled_by_gruber)
+        # One-phase clients never select themselves: every brokered
+        # job sits where the decision point's RandomSelector put it.
+        assert placed and sorted(picks) == placed

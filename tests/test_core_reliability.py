@@ -60,7 +60,7 @@ class TestTransportOutage:
                            rng.stream("dp"), monitor_interval_s=600.0)
         dp.start(neighbors=[])
         dp.crash()
-        dp.recover()
+        dp.restart(resync=False)
         ev = net.rpc("client", "dp0", "get_state", {})
         sim.run(until=30.0)
         assert ev.ok
@@ -72,8 +72,8 @@ class TestTransportOutage:
         dp.start(neighbors=[])
         dp.crash()
         dp.crash()
-        dp.recover()
-        dp.recover()
+        dp.restart(resync=False)
+        dp.restart(resync=False)
         assert dp.online and dp.started
 
 

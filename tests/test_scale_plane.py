@@ -1,8 +1,9 @@
 """Scale-plane regression tests.
 
 Covers the 10x-OSG survival work: cancellation-aware heap compaction,
-condition detach, pooled RPC timeouts, the indexed state view, delta
-sync, and the metrics fixes that only bite at scale.
+condition detach, pooled RPC timeouts, the indexed state view with its
+learn-sequence watermarks, and the metrics fixes that only bite at
+scale.
 """
 
 import numpy as np

@@ -21,11 +21,9 @@ def _digest(result):
 
 class TestResumeEqualsFresh:
     """The tentpole claim in unit form: a restored run's summary digest
-    equals the uninterrupted same-seed run's, with flood and with
-    per-peer delta sync."""
+    equals the uninterrupted same-seed run's."""
 
-    @pytest.mark.parametrize("overrides", [{}, {"sync_delta": True}],
-                             ids=["default", "delta-sync"])
+    @pytest.mark.parametrize("overrides", [{}], ids=["default"])
     def test_matrix(self, tmp_path, overrides):
         config = smoke_config(n_clients=4, duration_s=200.0,
                               checkpoint_every_s=60.0,

@@ -88,7 +88,7 @@ class TestCausalChain:
         assert recvs, "no sync.recv spans in a 2-DP run"
         for r in recvs:
             parent = by_id[r["parent_id"]]
-            assert parent["name"] in ("sync.flood", "sync.delta")
+            assert parent["name"] == "sync.flood"
             assert parent["node"] != r["node"]  # crossed the wire
             assert r["start"] >= parent["start"]
         # The lag histogram fed by merge_remote_records saw traffic too.
